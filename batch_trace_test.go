@@ -11,10 +11,10 @@ import (
 )
 
 // The flush golden pins the whole recorded forest of one group commit: the
-// view.flush root (plan, one flush.step per single-table statement, commit)
-// and the view.maintain / changeset.commit roots the maintenance layer
-// records per step, in order. Durations are nondeterministic and render
-// disabled. Regenerate with:
+// view.flush root (plan, then one flush.component holding one flush.step
+// per single-table statement and the commit) and the view.maintain /
+// changeset.commit roots the maintenance layer records per step, in order.
+// Durations are nondeterministic and render disabled. Regenerate with:
 //
 //	go test -run TestGoldenFlushTrace -update .
 

@@ -25,11 +25,13 @@ import (
 // nothing to maintain: their plans no-op on unrelated tables, so skipping
 // them leaves reader-visible state bit-identical. Components share no
 // written table and no view, so any interleaving of their flushes is
-// equivalent to the serialized monolithic flush.
+// equivalent to the single-component flush.
 
-// flushComponent is one independently flushable unit of a flush: the delta
+// flushComponent is one independently committable unit of a write: the
 // tables it writes (sorted) and the registered views it maintains (in
-// registration order, matching the monolithic staging order).
+// registration order). A synchronous statement is one component, as is a
+// whole flush at MaintWorkers ≤ 1; a concurrent flush has one per
+// independent group of delta tables.
 type flushComponent struct {
 	tables []string
 	views  []*View

@@ -26,9 +26,12 @@ import (
 //
 // The workload mixes synchronous statements with a WriteBatch. Each side
 // owns a disjoint key pool per table (the fixture's initial rows seed the
-// synchronous pool; each side deletes only keys it owns), so an interleaved
-// synchronous write can never invalidate a staged delete's enqueue-time
-// row — the documented contract for sharing a database with an open batch.
+// synchronous pool; each side deletes only keys it owns), so every staged
+// statement is still valid when it flushes. Exactness does not depend on
+// the split: a same-key synchronous write between enqueue and flush is
+// maintained and undone exactly, because the flush works from the rows the
+// catalog actually removes. Only the rows WriteBatch.Delete returned at
+// enqueue time can be stale.
 
 // servingObs is one reader observation: the pinned epoch and what the
 // reader computed from it.

@@ -38,7 +38,7 @@ import (
 // before parents, so RESTRICT checks see referencing rows removed), then
 // inserts (parents before children, so outbound foreign keys resolve),
 // then modifies (keys never change; last so an update referencing a
-// same-batch-inserted key finds it applied — see Plan).
+// same-batch-inserted key finds it applied — see PlanFor).
 type Op uint8
 
 // The flush phases, in application order.
@@ -72,8 +72,10 @@ type Step struct {
 	// Keys are the affected unique keys (OpDelete and OpModify), in the
 	// referenced table's key column order.
 	Keys [][]rel.Value
-	// OldRows are the committed rows the step removes or replaces
-	// (OpDelete and OpModify).
+	// OldRows are the rows the step removes or replaces (OpDelete and
+	// OpModify). A plan carries the committed rows the queue saw at
+	// enqueue; applying the step replaces them with the rows the catalog
+	// actually removed, which maintenance and undo then use.
 	OldRows []rel.Row
 	// NewRows pair with OldRows for OpModify.
 	NewRows []rel.Row
@@ -88,7 +90,7 @@ func (s Step) Len() int {
 	if s.Op == OpInsert {
 		return len(s.Rows)
 	}
-	return len(s.OldRows)
+	return len(s.Keys)
 }
 
 type entryKind uint8
@@ -497,27 +499,23 @@ func (q *Queue) Get(table string, key []rel.Value) (rel.Row, bool, error) {
 	return row, ok, nil
 }
 
-// Plan drains the pending entries into an ordered flush plan without
-// resetting the queue (the caller resets after the flush commits, so a
-// failed flush preserves every pending statement). Phases: deletes with
-// referencing tables before referenced ones, then inserts with referenced
-// tables before referencing ones, then modifies. Modifies come last
-// because a staged update may reference a key inserted in the same batch
-// (enqueue validated it against the overlay): applying the modify after
-// the inserts keeps the foreign key satisfied at every step, which both
-// the re-validating flush path and the maintenance planner's Section 6
-// assumption (a freshly inserted parent has no referencing rows when its
-// delta is maintained) depend on.
-func (q *Queue) Plan() []Step {
-	return q.planOver(q.topoTables())
-}
-
-// PlanFor builds the flush plan restricted to the given tables: the same
-// three phases in the same relative order as Plan, over only those tables'
-// entries. The concurrent flush path calls it once per independent
-// component; because the conflict analysis keeps FK-adjacent delta tables
-// in one component, concatenating the component plans in any interleaving
-// is equivalent to the monolithic Plan.
+// PlanFor drains the pending entries of the given tables into an ordered
+// flush plan without resetting the queue (the caller resets after the
+// flush commits, so a failed flush preserves every pending statement).
+// PlanFor(DeltaTables()) is the plan of the whole queue; the concurrent
+// flush path calls it once per independent component, and because the
+// conflict analysis keeps FK-adjacent delta tables in one component,
+// concatenating the component plans in any interleaving is equivalent to
+// the whole-queue plan.
+//
+// Phases: deletes with referencing tables before referenced ones, then
+// inserts with referenced tables before referencing ones, then modifies.
+// Modifies come last because a staged update may reference a key inserted
+// in the same batch (enqueue validated it against the overlay): applying
+// the modify after the inserts keeps the foreign key satisfied at every
+// step, which both the re-validating flush path and the maintenance
+// planner's Section 6 assumption (a freshly inserted parent has no
+// referencing rows when its delta is maintained) depend on.
 func (q *Queue) PlanFor(tables []string) []Step {
 	include := make(map[string]bool, len(tables))
 	for _, t := range tables {

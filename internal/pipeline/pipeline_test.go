@@ -64,8 +64,8 @@ func TestInsertDeleteAnnihilates(t *testing.T) {
 	if len(got) != 1 || !got[0].Equal(rel.Row{rel.Int(9), rel.Str("new")}) {
 		t.Fatalf("delete of pending insert returned %v", got)
 	}
-	if q.Len() != 0 || len(q.Plan()) != 0 {
-		t.Fatalf("annihilated pair left net=%d plan=%v", q.Len(), q.Plan())
+	if q.Len() != 0 || len(q.PlanFor(q.DeltaTables())) != 0 {
+		t.Fatalf("annihilated pair left net=%d plan=%v", q.Len(), q.PlanFor(q.DeltaTables()))
 	}
 	if q.Statements() != 2 || q.StagedRows() != 2 || q.CoalescedRows() != 2 {
 		t.Fatalf("accounting: stmts=%d staged=%d coalesced=%d", q.Statements(), q.StagedRows(), q.CoalescedRows())
@@ -82,7 +82,7 @@ func TestDeleteThenInsertBecomesModify(t *testing.T) {
 	if err := q.Insert("part", []rel.Row{{rel.Int(3), rel.Str("reborn")}}); err != nil {
 		t.Fatal(err)
 	}
-	steps := q.Plan()
+	steps := q.PlanFor(q.DeltaTables())
 	if len(steps) != 1 || steps[0].Op != OpModify {
 		t.Fatalf("expected one modify step, got %v", steps)
 	}
@@ -111,7 +111,7 @@ func TestUpdateComposition(t *testing.T) {
 	if err := q.Update("part", key(rel.Int(7)), rel.Row{rel.Int(7), rel.Str("y")}); err != nil {
 		t.Fatal(err)
 	}
-	steps := q.Plan()
+	steps := q.PlanFor(q.DeltaTables())
 	if len(steps) != 2 {
 		t.Fatalf("expected modify+insert steps, got %v", steps)
 	}
@@ -149,7 +149,7 @@ func TestModifyThenDelete(t *testing.T) {
 	if !got[0].Equal(rel.Row{rel.Int(3), rel.Str("tmp")}) {
 		t.Errorf("delete returned %v, want the pending row", got[0])
 	}
-	steps := q.Plan()
+	steps := q.PlanFor(q.DeltaTables())
 	if len(steps) != 1 || steps[0].Op != OpDelete {
 		t.Fatalf("expected one delete step, got %v", steps)
 	}
@@ -269,7 +269,7 @@ func TestPlanFKOrdering(t *testing.T) {
 	if err := q.Insert("item", []rel.Row{{rel.Int(9), rel.Int(7), rel.Int(1)}}); err != nil {
 		t.Fatal(err)
 	}
-	steps := q.Plan()
+	steps := q.PlanFor(q.DeltaTables())
 	var order []string
 	for _, st := range steps {
 		order = append(order, st.Op.String()+":"+st.Table)
@@ -301,7 +301,7 @@ func TestResetAndEmptyInsert(t *testing.T) {
 	if q.Statements() != 0 || q.Len() != 0 || q.StagedRows() != 0 || q.CoalescedRows() != 0 {
 		t.Fatal("reset left state behind")
 	}
-	if len(q.Plan()) != 0 {
+	if len(q.PlanFor(q.DeltaTables())) != 0 {
 		t.Fatal("reset left a plan behind")
 	}
 }
@@ -377,7 +377,7 @@ func TestPlanEncKeys(t *testing.T) {
 	if _, err := q.Delete("item", [][]rel.Value{key(rel.Int(1))}); err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range q.Plan() {
+	for _, st := range q.PlanFor(q.DeltaTables()) {
 		if len(st.EncKeys) != st.Len() {
 			t.Fatalf("step %s:%s has %d enc keys for %d rows", st.Table, st.Op, len(st.EncKeys), st.Len())
 		}

@@ -32,6 +32,7 @@ import (
 	"ojv/internal/algebra"
 	"ojv/internal/exec"
 	"ojv/internal/obs"
+	"ojv/internal/pipeline"
 	"ojv/internal/rel"
 	"ojv/internal/view"
 )
@@ -219,8 +220,12 @@ func Sum(c ColRef, name string) Aggregate { return Aggregate{Func: algebra.AggSu
 func Avg(c ColRef, name string) Aggregate { return Aggregate{Func: algebra.AggAvg, Col: c, Name: name} }
 
 // Database owns a catalog of base tables and the materialized views
-// registered over them. Every Insert/Delete maintains all registered views
-// incrementally, in the same call — the role the paper's triggers play.
+// registered over them. Every Insert/Delete/Update maintains all registered
+// views incrementally, in the same call — the role the paper's triggers
+// play. A statement is a one-step plan committed inline through the same
+// component path as a WriteBatch flush (commit.go): base apply, shared
+// ΔV^D subplans across views, per-view staging, changeset commit, epoch
+// publish.
 //
 // A Database is safe for concurrent use: updates (Insert, Delete, Update,
 // CreateView, DDL) serialize behind a write lock, while view reads pin the
@@ -247,11 +252,11 @@ type Database struct {
 	viewMu sync.RWMutex
 	views  map[string]*View
 	order  []string
-	// locks shards the flush write path by base table: independent flush
-	// components acquire only their own tables' shards, so maintenance of
-	// views with disjoint footprints proceeds concurrently inside a flush
-	// (conflict.go). Lock order: mu before any shard, shards in sorted name
-	// order (rel.TableLocks).
+	// locks shards the write path by base table: every commit acquires only
+	// its own tables' shards, so maintenance of views with disjoint
+	// footprints proceeds concurrently inside a flush (conflict.go). Lock
+	// order: mu before any shard, shards in sorted name order
+	// (rel.TableLocks).
 	locks *rel.TableLocks
 }
 
@@ -465,7 +470,7 @@ func (db *Database) Query(r Rel, output []ColRef) ([]Row, string, error) {
 		if !usable {
 			continue // the view matches but lacks a requested column
 		}
-		rows := viewRows(v)
+		rows := v.Rows()
 		out := make([]Row, len(rows))
 		for i, row := range rows {
 			out[i] = row.Project(cols)
@@ -532,14 +537,8 @@ func OpenSnapshot(r io.Reader) (*Database, error) {
 // registered view. The call is atomic: on error neither the base table nor
 // any view has changed.
 func (db *Database) Insert(table string, rows []Row) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.cat.Insert(table, rows); err != nil {
-		return err
-	}
-	return db.maintainAll(func(v *View, cs *view.Changeset) (*MaintStats, error) {
-		return v.m.ApplyInsert(cs, table, rows)
-	}, func() error { return db.cat.RollbackInsert(table, rows) })
+	_, err := db.statement(pipeline.Step{Table: table, Op: pipeline.OpInsert, Rows: rows})
+	return err
 }
 
 // Delete removes the rows with the given keys from a base table and
@@ -547,19 +546,11 @@ func (db *Database) Insert(table string, rows []Row) error {
 // rows. The call is atomic: on error neither the base table nor any view
 // has changed.
 func (db *Database) Delete(table string, keys [][]Value) ([]Row, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	deleted, err := db.cat.Delete(table, keys)
+	st, err := db.statement(pipeline.Step{Table: table, Op: pipeline.OpDelete, Keys: keys})
 	if err != nil {
 		return nil, err
 	}
-	err = db.maintainAll(func(v *View, cs *view.Changeset) (*MaintStats, error) {
-		return v.m.ApplyDelete(cs, table, deleted)
-	}, func() error { return db.cat.RollbackDelete(table, deleted) })
-	if err != nil {
-		return nil, err
-	}
-	return deleted, nil
+	return st.OldRows, nil
 }
 
 // Update replaces a row in place (the key must not change). For view
@@ -568,56 +559,9 @@ func (db *Database) Delete(table string, keys [][]Value) ([]Row, error) {
 // in Section 6. The call is atomic: on error neither the base table nor
 // any view has changed.
 func (db *Database) Update(table string, key []Value, newRow Row) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	old, err := db.cat.Update(table, key, newRow)
-	if err != nil {
-		return err
-	}
-	return db.maintainAll(func(v *View, cs *view.Changeset) (*MaintStats, error) {
-		return v.m.ApplyModify(cs, table, []Row{old}, []Row{newRow})
-	}, func() error { return db.cat.RollbackUpdate(table, key, old) })
-}
-
-// maintainAll stages one maintenance pass per registered view and commits
-// all of them together. On any failure every staged changeset rolls back in
-// reverse registration order and undoBase reverts the base-table delta, so
-// the database returns to its pre-call state. LastStats is only published
-// for committed runs.
-func (db *Database) maintainAll(apply func(v *View, cs *view.Changeset) (*MaintStats, error), undoBase func() error) error {
-	type stagedRun struct {
-		v     *View
-		cs    *view.Changeset
-		stats *MaintStats
-	}
-	var staged []stagedRun
-	for _, name := range db.order {
-		v := db.views[name]
-		cs := v.m.Begin()
-		stats, err := apply(v, cs)
-		if err != nil {
-			rbErr := v.m.RollbackStaged(cs)
-			for i := len(staged) - 1; i >= 0; i-- {
-				if e := staged[i].v.m.RollbackStaged(staged[i].cs); e != nil && rbErr == nil {
-					rbErr = e
-				}
-			}
-			if e := undoBase(); e != nil && rbErr == nil {
-				rbErr = e
-			}
-			if rbErr != nil {
-				return fmt.Errorf("ojv: maintaining view %s: %v (rollback also failed: %v)", name, err, rbErr)
-			}
-			return fmt.Errorf("ojv: maintaining view %s: %w", name, err)
-		}
-		staged = append(staged, stagedRun{v: v, cs: cs, stats: stats})
-	}
-	for _, s := range staged {
-		s.v.m.CommitStaged(s.cs, s.stats)
-		s.v.LastStats = s.stats
-	}
-	db.cat.PublishEpochs()
-	return nil
+	_, err := db.statement(pipeline.Step{Table: table, Op: pipeline.OpModify,
+		Keys: [][]Value{key}, NewRows: []Row{newRow}})
+	return err
 }
 
 // Name returns the view's name.
@@ -634,41 +578,16 @@ type ViewSnapshot = view.Snapshot
 // directly, which pin an epoch per call.
 func (v *View) Snapshot() *ViewSnapshot { return v.m.Snapshot() }
 
-// viewRows reads a view's rows from its current committed epoch, falling
-// back to the stored view under the read lock when snapshots are off
-// (views not registered through a Database).
-func viewRows(v *View) []Row {
-	if s := v.m.Snapshot(); s != nil {
-		return s.Rows()
-	}
-	v.db.mu.RLock()
-	defer v.db.mu.RUnlock()
-	if a := v.m.Aggregated(); a != nil {
-		return a.Rows()
-	}
-	return v.m.Materialized().Rows()
-}
-
 // Rows returns the current view contents. For aggregation views these are
 // the group rows with SQL aggregate semantics. The rows come from the
 // view's current committed epoch: the call never blocks on, or observes
 // partial state from, an in-flight maintenance run or WriteBatch flush.
 // Returned rows must be treated as read-only.
-func (v *View) Rows() []Row { return viewRows(v) }
+func (v *View) Rows() []Row { return v.m.Snapshot().Rows() }
 
 // Len returns the number of rows (or groups) in the view as of its current
 // committed epoch.
-func (v *View) Len() int {
-	if s := v.m.Snapshot(); s != nil {
-		return s.Len()
-	}
-	v.db.mu.RLock()
-	defer v.db.mu.RUnlock()
-	if a := v.m.Aggregated(); a != nil {
-		return a.Len()
-	}
-	return v.m.Materialized().Len()
-}
+func (v *View) Len() int { return v.m.Snapshot().Len() }
 
 // Schema returns the view's output schema (immutable after creation).
 func (v *View) Schema() Schema {
@@ -683,15 +602,7 @@ func (v *View) Schema() Schema {
 // as of the view's current committed epoch. It returns 0 for aggregation
 // views.
 func (v *View) TermCardinality(tables ...string) int {
-	if s := v.m.Snapshot(); s != nil {
-		return s.TermCardinality(tables)
-	}
-	v.db.mu.RLock()
-	defer v.db.mu.RUnlock()
-	if v.m.Materialized() == nil {
-		return 0
-	}
-	return v.m.Materialized().TermCardinality(tables)
+	return v.m.Snapshot().TermCardinality(tables)
 }
 
 // Check verifies the view against full recomputation (two independent
@@ -737,7 +648,7 @@ func (v *View) Select(p Pred) ([]Row, error) {
 		return nil, err
 	}
 	var out []Row
-	for _, r := range viewRows(v) {
+	for _, r := range v.Rows() {
 		if f(r) == algebra.True {
 			out = append(out, r)
 		}

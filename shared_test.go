@@ -12,7 +12,8 @@ import (
 // "identical" gives every view the same three-table expression, so their
 // maintenance trees share fully; "filtered" gives view i a distinct
 // selection constant, so the trees differ structurally below the root.
-func registerShopViews(t testing.TB, db *ojv.Database, n int, shape string) []*ojv.View {
+// opts, when given, applies to every view.
+func registerShopViews(t testing.TB, db *ojv.Database, n int, shape string, opts ...ojv.Options) []*ojv.View {
 	t.Helper()
 	out := make([]*ojv.View, n)
 	for i := 0; i < n; i++ {
@@ -28,7 +29,7 @@ func registerShopViews(t testing.TB, db *ojv.Database, n int, shape string) []*o
 		}
 		v, err := db.CreateView(fmt.Sprintf("mv%d", i), rel,
 			ojv.Columns("customer.ck", "customer.name", "orders.ok", "orders.total",
-				"lineitem.lok", "lineitem.ln", "lineitem.qty"))
+				"lineitem.lok", "lineitem.ln", "lineitem.qty"), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,6 +117,82 @@ func TestSharedFlushIdentity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSharedSyncIdentity: synchronous statements commit through the same
+// path as flushes, so over two same-shape views they evaluate the shared
+// ΔV^D subtrees once. The same statement stream runs through one database
+// holding both views and through two single-view databases, where sharing
+// is impossible; the view fingerprints must be bit-identical after every
+// statement.
+func TestSharedSyncIdentity(t *testing.T) {
+	tracer := ojv.NewTracer()
+	dbShared := newShopDB(t)
+	shared := registerShopViews(t, dbShared, 2, "identical", ojv.Options{Tracer: tracer})
+	dbs := []*ojv.Database{newShopDB(t), newShopDB(t)}
+	single := []*ojv.View{
+		registerShopViews(t, dbs[0], 1, "identical")[0],
+		registerShopViews(t, dbs[1], 1, "identical")[0],
+	}
+	order := func(ok, ck int64, total float64) ojv.Row {
+		return ojv.Row{ojv.Int(ok), ojv.Int(ck), ojv.Float(total), ojv.MustDate("2007-05-01")}
+	}
+	stmts := []func(db *ojv.Database) error{
+		func(db *ojv.Database) error {
+			return db.Insert("orders", []ojv.Row{order(20, 1, 10), order(21, 2, 20), order(22, 3, 30)})
+		},
+		func(db *ojv.Database) error {
+			return db.Insert("lineitem", []ojv.Row{
+				{ojv.Int(20), ojv.Int(1), ojv.Int(5)}, {ojv.Int(21), ojv.Int(1), ojv.Int(6)}})
+		},
+		func(db *ojv.Database) error { return db.Update("orders", []ojv.Value{ojv.Int(21)}, order(21, 3, 99)) },
+		func(db *ojv.Database) error {
+			_, err := db.Delete("lineitem", [][]ojv.Value{{ojv.Int(20), ojv.Int(1)}, {ojv.Int(10), ojv.Int(1)}})
+			return err
+		},
+		func(db *ojv.Database) error {
+			return db.Insert("customer", []ojv.Row{{ojv.Int(4), ojv.Str("dee")}})
+		},
+		func(db *ojv.Database) error {
+			return db.Update("customer", []ojv.Value{ojv.Int(2)}, ojv.Row{ojv.Int(2), ojv.Str("rob")})
+		},
+		func(db *ojv.Database) error {
+			_, err := db.Delete("orders", [][]ojv.Value{{ojv.Int(20)}, {ojv.Int(22)}})
+			return err
+		},
+	}
+	for i, stmt := range stmts {
+		if err := stmt(dbShared); err != nil {
+			t.Fatalf("statement %d on the shared database: %v", i, err)
+		}
+		for j, db := range dbs {
+			if err := stmt(db); err != nil {
+				t.Fatalf("statement %d on single-view database %d: %v", i, j, err)
+			}
+			if got, want := viewFingerprint(shared[j]), viewFingerprint(single[j]); got != want {
+				t.Fatalf("statement %d: view %d differs from its single-view twin\n--- shared ---\n%s\n--- single ---\n%s",
+					i, j, got, want)
+			}
+		}
+	}
+	for _, v := range shared {
+		if err := v.Check(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !hasSpan(tracer.Roots(), "exec.shared.consume") {
+		t.Fatal("no view consumed a shared subtree: synchronous statements bypassed PlanShared")
+	}
+}
+
+// hasSpan reports whether any span in the forest has the given name.
+func hasSpan(spans []*ojv.Span, name string) bool {
+	for _, s := range spans {
+		if s.Name() == name || hasSpan(s.Children(), name) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestSharedFlushSingleView: with one registered view the sharing layer
